@@ -22,11 +22,11 @@ def record_table(name: str, title: str, lines: list[str]) -> None:
     print(f"\n{text}")
 
 
-@pytest.fixture(scope="session")
-def kernel_dataflow_suite():
+def fig10_suite() -> dict[str, list]:
     """The eleven kernel-dataflow configurations of Figs. 10/13/14,
     built on 8x8 arrays with broadcast/reduction control so every backend
-    pass has material to work on."""
+    pass has material to work on.  ``tests/test_golden_digests.py`` pins
+    the designs generated from it."""
     from repro.core import kernels
     from repro.core.dataflow import Dataflow
 
@@ -66,8 +66,7 @@ def kernel_dataflow_suite():
     return suite
 
 
-@pytest.fixture(scope="session")
-def backend_variants():
+def ablation_variants() -> dict:
     """Backend option sets used by the ablation figures."""
     from repro.backend import BackendOptions
 
@@ -78,6 +77,16 @@ def backend_variants():
         "+pin_reuse": BackendOptions(True, True, True, False),
         "full": BackendOptions(True, True, True, True),
     }
+
+
+@pytest.fixture(scope="session")
+def kernel_dataflow_suite():
+    return fig10_suite()
+
+
+@pytest.fixture(scope="session")
+def backend_variants():
+    return ablation_variants()
 
 
 def build_design(dataflows, options=None):

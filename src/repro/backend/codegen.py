@@ -36,7 +36,7 @@ import numpy as np
 
 from ..core.adg import ADG
 from ..core.dataflow import Dataflow
-from .dag import DAG, Edge
+from .dag import DAG
 
 __all__ = ["AddrGenConfig", "DataflowConfig", "Design", "generate",
            "compute_liveness"]
@@ -260,7 +260,6 @@ def generate(adg: ADG, share_control: bool = True) -> Design:
     dag = DAG()
     configs = {df.name: DataflowConfig(df) for df in adg.dataflows}
     coords = adg.dataflows[0].fu_coords()
-    all_dfs = set(configs)
 
     zero = dag.add_node("const", width=32, params={"value": 0}, place="control")
 
@@ -415,7 +414,7 @@ def generate(adg: ADG, share_control: bool = True) -> Design:
                 srcs_by_df.setdefault(name, []).append(
                     (fifo, conn.dt_for(name)))
         groups: dict[tuple[int, ...], set[str]] = {}
-        for name in all_dfs:
+        for name in configs:
             key = tuple(sorted(f for f, _dt in srcs_by_df.get(name, [])))
             groups.setdefault(key, set()).add(name)
         for key, names in groups.items():
@@ -504,9 +503,6 @@ def compute_liveness(design: Design) -> None:
     Must be re-run after any pass that mutates the DAG topology.
     """
     dag = design.dag
-    in_by_node: dict[int, list[Edge]] = {}
-    for e in dag.edges:
-        in_by_node.setdefault(e.dst, []).append(e)
     for name, cfg in design.configs.items():
         active: set[int] = set()
         active_edges: set[int] = set()
@@ -517,7 +513,7 @@ def compute_liveness(design: Design) -> None:
                 continue
             active.add(nid)
             node = dag.nodes[nid]
-            edges = in_by_node.get(nid, [])
+            edges = dag.in_edges(nid)
             if node.kind == "mux":
                 if nid in cfg.mux_policy:
                     pins = {0} | {p for p, _dt in cfg.mux_policy[nid]}

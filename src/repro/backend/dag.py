@@ -33,12 +33,22 @@ class Edge:
 @dataclass
 class DAG:
     """A primitive-level architecture graph with cycle checking and the
-    register accounting the backend passes optimize."""
+    register accounting the backend passes optimize.
+
+    Edges live in one store keyed by ``uid`` (insertion order), indexed
+    per node by destination and by source.  Mutate the graph only through
+    the methods below; ``edges``, ``in_edges`` and ``out_edges`` return
+    edges in insertion order, which Verilog pin resolution and the delay
+    LP's variable order rely on.
+    """
 
     nodes: dict[int, Primitive] = field(default_factory=dict)
-    edges: list[Edge] = field(default_factory=list)
     _next_id: int = 0
     _next_edge_uid: int = 0
+    _edges: dict[int, Edge] = field(default_factory=dict, repr=False)
+    _in: dict[int, dict[int, Edge]] = field(default_factory=dict, repr=False)
+    _out: dict[int, dict[int, Edge]] = field(default_factory=dict,
+                                             repr=False)
 
     # -- construction ------------------------------------------------------------
 
@@ -52,26 +62,52 @@ class DAG:
         return node.node_id
 
     def add_edge(self, src: int, dst: int, dst_pin: int = 0,
-                 width: int | None = None) -> Edge:
+                 width: int | None = None, *, el: int = 0,
+                 uid: int | None = None) -> Edge:
+        """Connect *src* to pin *dst_pin* of *dst*.  ``uid`` is assigned
+        unless given (reloading a serialized design keeps its uids)."""
         if src not in self.nodes or dst not in self.nodes:
             raise KeyError("edge endpoints must be existing nodes")
+        if uid is None:
+            uid = self._next_edge_uid
+        elif uid in self._edges:
+            raise ValueError(f"duplicate edge uid {uid}")
         edge = Edge(src, dst, dst_pin,
                     width if width is not None else self.nodes[src].width,
-                    uid=self._next_edge_uid)
-        self._next_edge_uid += 1
-        self.edges.append(edge)
+                    el, uid=uid)
+        self._next_edge_uid = max(self._next_edge_uid, uid + 1)
+        self._edges[uid] = edge
+        self._in.setdefault(dst, {})[uid] = edge
+        self._out.setdefault(src, {})[uid] = edge
         return edge
 
     def remove_edge(self, edge: Edge) -> None:
-        self.edges.remove(edge)
+        if self._edges.get(edge.uid) != edge:
+            raise ValueError(f"{edge} is not in the graph")
+        del self._edges[edge.uid]
+        del self._in[edge.dst][edge.uid]
+        del self._out[edge.src][edge.uid]
+
+    def remove_node(self, node_id: int) -> None:
+        """Drop a node and every edge incident to it."""
+        del self.nodes[node_id]
+        for edge in [*self._in.pop(node_id, {}).values(),
+                     *self._out.pop(node_id, {}).values()]:
+            if self._edges.pop(edge.uid, None) is not None:
+                self._out.get(edge.src, {}).pop(edge.uid, None)
+                self._in.get(edge.dst, {}).pop(edge.uid, None)
 
     # -- queries -----------------------------------------------------------------
 
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(self._edges.values())
+
     def in_edges(self, node_id: int) -> list[Edge]:
-        return [e for e in self.edges if e.dst == node_id]
+        return list(self._in.get(node_id, {}).values())
 
     def out_edges(self, node_id: int) -> list[Edge]:
-        return [e for e in self.edges if e.src == node_id]
+        return list(self._out.get(node_id, {}).values())
 
     def topo_order(self, sequential_break: bool = True,
                    edge_filter=None) -> list[int]:

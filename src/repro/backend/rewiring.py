@@ -19,18 +19,49 @@ implements stage 2 plus the orchestration.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+
 from .codegen import Design, compute_liveness
-from .dag import Edge
 from .delay_matching import broadcast_sources, delay_match
 
-__all__ = ["rewire_broadcasts", "run_rewiring"]
+__all__ = ["broadcast_tree", "rewire_broadcasts", "run_rewiring"]
 
 
-def _adjacent(a, b) -> bool:
-    """Spatial adjacency of two placements (FU grid L-infinity distance 1)."""
-    if not (isinstance(a, tuple) and isinstance(b, tuple)) or len(a) != len(b):
-        return False
-    return max(abs(x - y) for x, y in zip(a, b)) <= 1 and a != b
+def broadcast_tree(dests: list[tuple[int, tuple]]) -> dict[int, int | None]:
+    """Prim's MST over a broadcast source and its destinations.
+
+    *dests* holds each destination's ``(EL, placement)``.  A destination
+    hangs off the source at cost EL, or off a spatially adjacent tree
+    member (placements at L-infinity distance 1) at the EL difference.
+    Returns ``{destination index: parent index or None}`` in the order
+    the tree grew.  Candidates compare as ``(cost, index, parent)`` with
+    parent -1 for the source, so ties go to the source, then to the
+    lowest indices.
+    """
+    by_place: dict[tuple, list[int]] = {}
+    for idx, (_el, place) in enumerate(dests):
+        by_place.setdefault(place, []).append(idx)
+    best = [(el, idx, -1) for idx, (el, _place) in enumerate(dests)]
+    heap = list(best)
+    heapq.heapify(heap)
+    tree: dict[int, int | None] = {}
+    while heap:
+        _cost, idx, parent = heapq.heappop(heap)
+        if idx in tree:
+            continue
+        tree[idx] = None if parent == -1 else parent
+        el, place = dests[idx]
+        for offset in itertools.product((-1, 0, 1), repeat=len(place)):
+            if not any(offset):
+                continue  # equal placements are not adjacent
+            near = tuple(x + d for x, d in zip(place, offset))
+            for nxt in by_place.get(near, ()):
+                cand = (abs(dests[nxt][0] - el), nxt, idx)
+                if nxt not in tree and cand < best[nxt]:
+                    best[nxt] = cand
+                    heapq.heappush(heap, cand)
+    return tree
 
 
 def rewire_broadcasts(design: Design, min_fanout: int = 3) -> int:
@@ -39,38 +70,15 @@ def rewire_broadcasts(design: Design, min_fanout: int = 3) -> int:
     dag = design.dag
     rewired = 0
     for src in broadcast_sources(design):
-        outs = [e for e in dag.edges if e.src == src]
+        outs = dag.out_edges(src)
         if len(outs) < min_fanout:
             continue
-        # Group out-edges by destination placement; only same-pin-type
-        # destinations with spatial placements can forward to each other.
-        dests = [(e, dag.nodes[e.dst].place) for e in outs]
-        if any(not isinstance(p, tuple) for _e, p in dests):
+        # Only destinations with spatial placements can forward to each
+        # other.
+        places = [dag.nodes[e.dst].place for e in outs]
+        if any(not isinstance(p, tuple) for p in places):
             continue
-        # Prim from the source over: src->dest (cost EL_e) and dest->dest
-        # (cost |EL_i - EL_j|, adjacency required).
-        in_tree: dict[int, tuple[Edge, int | None]] = {}  # idx -> (edge, parent idx)
-        remaining = set(range(len(dests)))
-        tree_order: list[int] = []
-        while remaining:
-            best = None
-            for idx in remaining:
-                e_i, p_i = dests[idx]
-                # direct from source (parent sentinel -1 sorts before ids)
-                cand = (float(e_i.el), idx, -1)
-                if best is None or cand < best:
-                    best = cand
-                for t_idx in tree_order:
-                    e_t, p_t = dests[t_idx]
-                    if _adjacent(p_i, p_t):
-                        cand = (abs(float(e_i.el - e_t.el)), idx, t_idx)
-                        if cand < best:
-                            best = cand
-            _cost, idx, parent = best
-            parent = None if parent == -1 else parent
-            in_tree[idx] = (dests[idx][0], parent)
-            tree_order.append(idx)
-            remaining.discard(idx)
+        tree = broadcast_tree([(e.el, p) for e, p in zip(outs, places)])
 
         # Materialize: destinations with a dest-parent get a relay chain.
         relays: dict[int, int] = {}
@@ -78,22 +86,19 @@ def rewire_broadcasts(design: Design, min_fanout: int = 3) -> int:
         def relay_of(idx: int) -> int:
             if idx in relays:
                 return relays[idx]
-            e_i, parent = in_tree[idx]
-            relay = dag.add_node("wire", width=e_i.width,
-                                 place=dests[idx][1],
+            relay = dag.add_node("wire", width=outs[idx].width,
+                                 place=places[idx],
                                  params={"role": "bcast_relay", "source": src})
-            if parent is None:
-                dag.add_edge(src, relay)
-            else:
-                dag.add_edge(relay_of(parent), relay)
+            parent = tree[idx]
+            dag.add_edge(src if parent is None else relay_of(parent), relay)
             relays[idx] = relay
             return relay
 
-        for idx, (e_i, parent) in in_tree.items():
+        for idx, parent in tree.items():
             if parent is None:
                 continue  # keep the direct edge
-            relay = relay_of(idx)
-            dag.add_edge(relay, e_i.dst, e_i.dst_pin)
+            e_i = outs[idx]
+            dag.add_edge(relay_of(idx), e_i.dst, e_i.dst_pin)
             dag.remove_edge(e_i)
             rewired += 1
     if rewired:

@@ -80,6 +80,11 @@ class Job:
         #: True when this job was reloaded from the journal after a
         #: restart and transitioned by the recovery matrix.
         self.recovered = False
+        #: why a paused job parked: "request" (``POST .../pause``) or
+        #: "shutdown" (the server stopped under it).  Journaled, so the
+        #: next boot recovers a shutdown-parked exploration exactly like
+        #: one the process died under.
+        self.pause_reason: str | None = None
         self._lock = threading.RLock()
         self._pause = threading.Event()
         self._finished = threading.Event()
@@ -138,9 +143,10 @@ class Job:
         self._persist()
         return True
 
-    def mark_paused(self) -> None:
+    def mark_paused(self, reason: str = "request") -> None:
         with self._lock:
             self.status = "paused"
+            self.pause_reason = reason
         self._finished.set()
         self._persist()
 
@@ -152,6 +158,7 @@ class Job:
             self._pause.clear()
             self._finished.clear()
             self.status = "running"
+            self.pause_reason = None
         self._persist()
         return True
 
@@ -221,6 +228,7 @@ class Job:
             data = self.to_dict(include_checkpoint=True)
             data["params"] = self.params
             data["recovered"] = self.recovered
+            data["pause_reason"] = self.pause_reason
             try:
                 journal.record(self.id, data)
             except OSError:
@@ -244,6 +252,7 @@ class Job:
         job.trace_id = data.get("trace_id")
         job.plan = data.get("plan")
         job.recovered = bool(data.get("recovered"))
+        job.pause_reason = data.get("pause_reason")
         job._journal = journal
         if job.status in ("done", "failed", "paused"):
             job._finished.set()
@@ -355,11 +364,11 @@ class JobRegistry:
         journaled  meaning after a dead server  restored as
         ========== ============================ =======================
         queued /   the executor thread died     explore → ``paused``
-        running /  with the process             (resumable from its
-        pausing                                 checkpoint); batch →
-                                                ``failed`` with a
-                                                recovery error
-        paused     parked, holds no thread      as-is (resumable)
+        running /  with the process, or the     (resumable from its
+        pausing /  server's shutdown parked     checkpoint); batch →
+        paused by  it                           ``failed`` with a
+        shutdown                                recovery error
+        paused     parked on request            as-is (resumable)
         done /     terminal                     as-is
         failed
         ========== ============================ =======================
@@ -374,7 +383,8 @@ class JobRegistry:
         max_seq = 0
         for data in records:
             job = Job.from_journal(data, journal=self.journal)
-            if job.status in ("queued", "running", "pausing"):
+            if (job.status in ("queued", "running", "pausing")
+                    or job.pause_reason == "shutdown"):
                 if job.kind == "explore":
                     job.recover_paused()
                     summary["resumable"] += 1
@@ -414,13 +424,29 @@ class JobRegistry:
             if status != "queued":
                 continue
             if job.kind == "explore":
-                job.mark_paused()
+                job.mark_paused("shutdown")
                 swept["paused"] += 1
             else:
                 job.fail("server shut down before this batch job "
                          "started; resubmit it")
                 swept["failed"] += 1
         return swept
+
+    def wait_parked(self, timeout: float) -> bool:
+        """Block until every running exploration has parked (its body
+        stops after the current step once the server is closing), or
+        *timeout* seconds passed.  True if all of them settled."""
+        deadline = time.monotonic() + timeout
+        with self._lock:
+            jobs = [job for job in self._jobs.values()
+                    if job.kind == "explore"]
+        for job in jobs:
+            with job._lock:
+                status = job.status
+            if (status in ("running", "pausing")
+                    and not job.wait(max(0.0, deadline - time.monotonic()))):
+                return False
+        return True
 
 
 def _id_sequence(job_id: str) -> int:

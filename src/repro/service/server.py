@@ -106,6 +106,8 @@ _STATUS_TEXT = {200: "OK", 202: "Accepted", 400: "Bad Request",
                 500: "Internal Server Error", 502: "Bad Gateway",
                 503: "Service Unavailable"}
 _MAX_BODY = 64 * 1024 * 1024
+#: how long a stopping server waits for running explorations to park
+_SHUTDOWN_GRACE_S = 30.0
 
 _HTTP_REQUESTS = get_registry().counter(
     "repro_http_requests_total",
@@ -655,6 +657,14 @@ class DesignServer(HttpServerBase):
         swept = self.jobs.sweep_shutdown()
         if any(swept.values()):
             self._log.info("shutdown swept queued jobs: %s", swept)
+        # Let running explorations park (and journal why) before the
+        # process goes, so the next boot never races their last write.
+        loop = asyncio.get_running_loop()
+        if not await loop.run_in_executor(None, self.jobs.wait_parked,
+                                          _SHUTDOWN_GRACE_S):
+            self._log.warning("shutdown: explorations still running after "
+                              "%.0f s; the next boot recovers them from "
+                              "their last checkpoint", _SHUTDOWN_GRACE_S)
         await super().stop()
 
     # -- routing -----------------------------------------------------------
@@ -1065,7 +1075,8 @@ class DesignServer(HttpServerBase):
                     job.finish(_search_result_to_json(result))
                     return
                 if job.pause_requested or self._closing.is_set():
-                    job.mark_paused()
+                    job.mark_paused("request" if job.pause_requested
+                                    else "shutdown")
                     return
                 if stalled:
                     # Defense in depth: a step that charges nothing can

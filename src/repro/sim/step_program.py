@@ -325,10 +325,16 @@ class StepProgram:
 
         # Toggle counts: a change of validity, or of value while valid
         # on both sides — exactly the interpreter's `prev != out` test
-        # (None==None never toggles, None vs value always does).
-        both = K[:, 1:] & K[:, :-1]
-        changed = (K[:, 1:] != K[:, :-1]) | (both & (V[:, 1:] != V[:, :-1]))
-        counts = changed.sum(axis=1)
+        # (None==None never toggles, None vs value always does).  Counted
+        # in blocks of rows so the bool temporaries stay near 1 MB each.
+        counts = np.zeros(len(self.order), dtype=np.int64)
+        block = max(1, (1 << 20) // n)
+        for lo in range(0, len(self.order), block):
+            v, k = V[lo:lo + block], K[lo:lo + block]
+            both = k[:, 1:] & k[:, :-1]
+            changed = ((k[:, 1:] != k[:, :-1])
+                       | (both & (v[:, 1:] != v[:, :-1])))
+            counts[lo:lo + block] = changed.sum(axis=1)
         toggles = {nid: int(counts[self.row[nid]]) for nid in self.order}
         return V, K, toggles, mem_reads, mem_writes
 

@@ -116,6 +116,41 @@ class TestRegistryRecovery:
         assert restored.recovered is True
         assert restored.checkpoint == {"completed": False, "rows": [1, 2]}
 
+    def test_shutdown_parked_explore_restores_recovered(self, tmp_path):
+        """A graceful stop parks a running exploration itself; the
+        journaled reason makes the next boot treat it like one the
+        process died under."""
+        first = self._registry(tmp_path)
+        job = first.create("explore", {"seed": 3})
+        job.start()
+        job.mark_paused("shutdown")
+        second = self._registry(tmp_path)
+        stats = second.restore()
+        assert stats["resumable"] == 1
+        restored = second.get(job.id)
+        assert (restored.status, restored.recovered) == ("paused", True)
+
+    def test_requested_pause_restores_verbatim(self, tmp_path):
+        first = self._registry(tmp_path)
+        job = first.create("explore", {"seed": 3})
+        job.start()
+        job.mark_paused()
+        second = self._registry(tmp_path)
+        assert second.restore()["resumable"] == 0
+        restored = second.get(job.id)
+        assert (restored.status, restored.recovered) == ("paused", False)
+
+    def test_resume_clears_the_pause_reason(self, tmp_path):
+        first = self._registry(tmp_path)
+        job = first.create("explore", {"seed": 3})
+        job.start()
+        job.mark_paused("shutdown")
+        assert job.resume()
+        job.finish({"best": "x"})
+        second = self._registry(tmp_path)
+        assert second.restore()["resumable"] == 0
+        assert second.get(job.id).recovered is False
+
     def test_interrupted_batch_restores_failed(self, tmp_path):
         first = self._registry(tmp_path)
         job = first.create("batch", {"requests": 3})
@@ -162,6 +197,20 @@ class TestShutdownSweep:
         assert running.status == "running"  # live work is not swept
         # and the swept states are what a poller now sees immediately
         assert explore.settled() and batch.settled()
+
+    def test_wait_parked_blocks_until_explorations_park(self):
+        registry = JobRegistry()
+        job = registry.create("explore", {})
+        job.start()
+        registry.create("batch", {}).start()  # batches are not waited on
+        assert registry.wait_parked(0.05) is False
+        timer = threading.Timer(0.05, job.mark_paused, ("shutdown",))
+        timer.start()
+        try:
+            assert registry.wait_parked(10.0) is True
+        finally:
+            timer.join()
+        assert job.status == "paused"
 
     def test_server_stop_settles_queued_jobs(self, tmp_path):
         """End to end: one job worker, a long exploration occupying it,

@@ -33,9 +33,14 @@ def schedule_count() -> float:
 
 
 def run_threads(n: int, target) -> list:
-    """Run *target(i)* in n threads; returns [(value|exception), ...]."""
+    """Run *target(i)* in n threads started together; returns
+    [(value|exception), ...]."""
     out: list = [None] * n
+    # Release all n at once: a thread that started after the others
+    # had finished would not be concurrent with them.
+    start = threading.Barrier(n)
     def wrap(i):
+        start.wait(timeout=60)
         try:
             out[i] = target(i)
         except BaseException as exc:  # noqa: BLE001 — collected on purpose
