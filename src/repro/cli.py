@@ -34,6 +34,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pathlib
 import sys
@@ -106,77 +107,84 @@ def _export_trace_arg(args: argparse.Namespace, trace_id: str) -> None:
           f"{args.trace_out}")
 
 
-def _service_client(args: argparse.Namespace):
-    """A :class:`ServiceClient` honoring the shared remote flags
-    (``--url``, ``--timeout``, ``--connect-timeout``)."""
-    from .service.client import ServiceClient
-
-    return ServiceClient.from_url(
-        args.url, timeout=args.timeout,
-        connect_timeout=args.connect_timeout)
+class _RemoteFailed(Exception):
+    """A ``--url`` subcommand could not complete against its service;
+    already reported on stderr, :func:`main` exits 1."""
 
 
-def _remote_failed(what: str, url: str, exc: BaseException) -> int:
-    """Print a remote failure and return the exit code.  A synthesized
-    504 already names which budget expired (connect vs read)."""
-    print(f"remote {what} against {url} failed: {exc}", file=sys.stderr)
-    return 1
+@contextlib.contextmanager
+def _remote_client(args: argparse.Namespace, what: str,
+                   timeout: float | None = None):
+    """The :class:`ServiceClient` of every ``--url`` subcommand (honoring
+    ``--timeout``/``--connect-timeout`` where the command has them).  An
+    unreachable or failing service inside the block becomes one stderr
+    line and exit 1, never a traceback; keep local file writes outside
+    the block.  A synthesized 504 already names which budget expired
+    (connect vs read)."""
+    import http.client
+
+    from .service.client import ServiceClient, ServiceError
+
+    if timeout is None:
+        timeout = getattr(args, "timeout", 120.0)
+    try:
+        with ServiceClient.from_url(
+                args.url, timeout=timeout,
+                connect_timeout=getattr(args, "connect_timeout",
+                                        None)) as client:
+            yield client
+    except (ServiceError, TimeoutError) as exc:
+        # the service answered an error, or a budget / job wait expired
+        print(f"remote {what} against {args.url} failed: {exc}",
+              file=sys.stderr)
+        raise _RemoteFailed from None
+    except (OSError, http.client.HTTPException) as exc:
+        print(f"cannot reach {args.url} ({what}): {exc}", file=sys.stderr)
+        raise _RemoteFailed from None
 
 
-def _cmd_generate_remote(args: argparse.Namespace) -> int:
-    import pathlib
+def _write_artifacts(output: str, primary_text: str, artifacts: dict,
+                     request) -> None:
+    """Write the primary artifact to *output*; companion artifacts (e.g.
+    the hls_c testbench) land next to it, named after its stem."""
+    out_path = pathlib.Path(output)
+    out_path.write_text(primary_text)
+    print(f"wrote {len(primary_text.splitlines())} lines "
+          f"({request.backend}) to {output}")
+    primary = next(iter(artifacts), None)
+    stem = out_path.name
+    for suffix in (out_path.suffixes or [""])[::-1]:
+        stem = stem.removesuffix(suffix)
+    for name, text in artifacts.items():
+        if name == primary:
+            continue
+        side = out_path.with_name(
+            stem + _artifact_suffix(name, request.module))
+        side.write_text(text)
+        print(f"wrote companion artifact {side}")
 
-    from .service.client import ServiceError
 
-    if args.topology:
+def _cmd_generate(args: argparse.Namespace) -> int:
+    from types import SimpleNamespace
+
+    from .obs import new_trace_id, trace_context
+    from .report import render_topology
+
+    if args.url and args.topology:
         print("--topology needs the in-process frontend; drop --url",
               file=sys.stderr)
         return 2
     request = _request_from_args(args)
-    try:
-        with _service_client(args) as client:
-            result = client.generate(request.to_dict(),
-                                     include_rtl=bool(args.output))
-    except (ServiceError, OSError) as exc:
-        return _remote_failed("generate", args.url, exc)
-    if not result.get("ok"):
-        print(f"generation failed: {result.get('error')}",
-              file=sys.stderr)
-        return 1
-    print(result.get("summary", result.get("spec_hash", "")))
-    if result.get("from_cache"):
-        print(f"(cache hit {result['spec_hash'][:12]})")
-    if args.output:
-        out_path = pathlib.Path(args.output)
-        out_path.write_text(result.get("rtl") or "")
-        print(f"wrote {len((result.get('rtl') or '').splitlines())} "
-              f"lines ({request.backend}) to {args.output}")
-        artifacts = result.get("artifacts") or {}
-        primary = next(iter(artifacts), None)
-        stem = out_path.name
-        for suffix in (out_path.suffixes or [""])[::-1]:
-            stem = stem.removesuffix(suffix)
-        for name, text in artifacts.items():
-            if name == primary:
-                continue
-            side = out_path.with_name(
-                stem + _artifact_suffix(name, request.module))
-            side.write_text(text)
-            print(f"wrote companion artifact {side}")
-    return 0
-
-
-def _cmd_generate(args: argparse.Namespace) -> int:
-    from .obs import new_trace_id, trace_context
-    from .report import render_topology
-
     if args.url:
-        return _cmd_generate_remote(args)
-    request = _request_from_args(args)
-    trace_id = new_trace_id()
-    with trace_context(trace_id):
-        result = _build_engine(args).submit(request)
-    _export_trace_arg(args, trace_id)
+        with _remote_client(args, "generate") as client:
+            # the JSON reply carries DesignResult's field names
+            result = SimpleNamespace(**client.generate(
+                request.to_dict(), include_rtl=bool(args.output)))
+    else:
+        trace_id = new_trace_id()
+        with trace_context(trace_id):
+            result = _build_engine(args).submit(request)
+        _export_trace_arg(args, trace_id)
     if not result.ok:
         print(f"generation failed: {result.error}", file=sys.stderr)
         return 1
@@ -192,25 +200,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         for tensor in adg.tensor_names():
             print(render_topology(adg, tensor, dfs[0].name))
     if args.output:
-        import pathlib
-
-        out_path = pathlib.Path(args.output)
-        out_path.write_text(result.rtl)
-        print(f"wrote {len(result.rtl.splitlines())} lines "
-              f"({request.backend}) to {args.output}")
-        # Companion artifacts (e.g. the hls_c testbench) land next to
-        # the primary one, named after its stem.
-        primary = next(iter(result.artifacts), None)
-        stem = out_path.name
-        for suffix in (out_path.suffixes or [""])[::-1]:
-            stem = stem.removesuffix(suffix)
-        for name, text in result.artifacts.items():
-            if name == primary:
-                continue
-            side = out_path.with_name(
-                stem + _artifact_suffix(name, request.module))
-            side.write_text(text)
-            print(f"wrote companion artifact {side}")
+        _write_artifacts(args.output, result.rtl, result.artifacts,
+                         request)
     return 0
 
 
@@ -237,31 +228,26 @@ def _cmd_batch_remote(args: argparse.Namespace,
               "--url or --output-dir", file=sys.stderr)
         return 2
     specs = [request.to_dict() for request in requests]
-    try:
-        with _service_client(args) as client:
-            job = client.batch(specs, workers=args.workers)
-            print(f"submitted job {job} ({len(specs)} requests) "
-                  f"to {args.url}")
+    with _remote_client(args, "batch") as client:
+        job = client.batch(specs, workers=args.workers)
+        print(f"submitted job {job} ({len(specs)} requests) to {args.url}")
+        final = None
+        try:
+            for event in client.stream(job):
+                if event.get("event") == "result":
+                    record = event.get("result") or {}
+                    status = ("hit" if record.get("from_cache")
+                              else "ok" if record.get("ok") else "FAIL")
+                    print(f"  [{event.get('done', '?')}/{len(specs)}]"
+                          f" {status:4s} "
+                          f"{(record.get('spec_hash') or '')[:12]}")
+                elif event.get("event") == "end":
+                    final = event.get("job")
+        except ServiceError:
+            # fleet fan-out jobs don't stream; poll them instead
             final = None
-            try:
-                for event in client.stream(job):
-                    if event.get("event") == "result":
-                        record = event.get("result") or {}
-                        status = ("hit" if record.get("from_cache")
-                                  else "ok" if record.get("ok")
-                                  else "FAIL")
-                        print(f"  [{event.get('done', '?')}/{len(specs)}]"
-                              f" {status:4s} "
-                              f"{(record.get('spec_hash') or '')[:12]}")
-                    elif event.get("event") == "end":
-                        final = event.get("job")
-            except ServiceError:
-                # fleet fan-out jobs don't stream; poll them instead
-                final = None
-            if final is None:
-                final = client.wait(job, timeout=max(args.timeout, 600))
-    except (ServiceError, OSError, TimeoutError) as exc:
-        return _remote_failed("batch", args.url, exc)
+        if final is None:
+            final = client.wait(job, timeout=max(args.timeout, 600))
     result = final.get("result") or {}
     ok = result.get("ok", 0)
     print(f"{ok}/{len(specs)} designs ok — job {job} "
@@ -270,8 +256,6 @@ def _cmd_batch_remote(args: argparse.Namespace,
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    import pathlib
-
     from .service.spec import DesignRequest
 
     try:
@@ -430,14 +414,13 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     if args.url:
-        from .service.client import ServiceClient
-
-        with ServiceClient.from_url(args.url) as client:
-            sys.stdout.write(client.metrics())
+        with _remote_client(args, "metrics") as client:
+            text = client.metrics()
     else:
         from .service.api import metrics_text
 
-        sys.stdout.write(metrics_text())
+        text = metrics_text()
+    sys.stdout.write(text)
     return 0
 
 
@@ -450,16 +433,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     if args.url:
-        from .service.client import ServiceClient, ServiceError
-
-        try:
-            with ServiceClient.from_url(args.url) as client:
-                payload = client.trace(drain=args.drain,
-                                       trace_id=args.trace_id)
-        except (OSError, ServiceError) as exc:
-            print(f"cannot pull trace from {args.url}: {exc}",
-                  file=sys.stderr)
-            return 2
+        with _remote_client(args, "trace") as client:
+            payload = client.trace(drain=args.drain, trace_id=args.trace_id)
         events = [e for e in payload.get("traceEvents", [])
                   if isinstance(e, dict)]
         source = args.url
@@ -537,18 +512,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from .obs import Profile, profile_for
 
     if args.url:
-        from .service.client import ServiceClient, ServiceError
-
-        timeout = max(60.0, 2.0 * args.seconds + 30.0)
-        try:
-            with ServiceClient.from_url(args.url,
-                                        timeout=timeout) as client:
-                payload = client.profile(
-                    seconds=None if args.snapshot else args.seconds,
-                    hz=args.hz)
-        except (OSError, ServiceError) as exc:
-            print(f"cannot profile {args.url}: {exc}", file=sys.stderr)
-            return 2
+        with _remote_client(args, "profile",
+                            timeout=max(60.0, 2.0 * args.seconds
+                                        + 30.0)) as client:
+            payload = client.profile(
+                seconds=None if args.snapshot else args.seconds, hz=args.hz)
         profile = Profile.from_dict(payload)
         where = args.url
         if payload.get("merged_from"):
@@ -589,20 +557,15 @@ def _cmd_top(args: argparse.Namespace) -> int:
     import time
 
     from .obs import render_dashboard
-    from .service.client import ServiceClient, ServiceError
 
     clear = sys.stdout.isatty() and not args.no_clear
     prev = None
     prev_ts = None
     shown = 0
-    with ServiceClient.from_url(args.url) as client:
+    with _remote_client(args, "top") as client:
         while True:
-            try:
-                health = client.health()
-                curr = client.metrics_snapshot()
-            except (OSError, ServiceError) as exc:
-                print(f"cannot reach {args.url}: {exc}", file=sys.stderr)
-                return 1
+            health = client.health()
+            curr = client.metrics_snapshot()
             now = time.time()
             dt = (now - prev_ts) if prev_ts is not None \
                 else float(args.interval)
@@ -707,21 +670,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore_remote(args: argparse.Namespace) -> int:
-    from .service.client import ServiceError
-
     params: dict = {"strategy": args.strategy,
                     "objective": args.objective, "seed": args.seed}
     if args.max_evals is not None:
         params["max_evals"] = args.max_evals
     if args.area_budget is not None:
         params["area_budget_mm2"] = args.area_budget
-    try:
-        with _service_client(args) as client:
-            job = client.explore(models=args.models, **params)
-            print(f"submitted job {job} to {args.url}")
-            final = client.wait(job, timeout=max(args.timeout, 600))
-    except (ServiceError, OSError, TimeoutError) as exc:
-        return _remote_failed("explore", args.url, exc)
+    with _remote_client(args, "explore") as client:
+        job = client.explore(models=args.models, **params)
+        print(f"submitted job {job} to {args.url}")
+        final = client.wait(job, timeout=max(args.timeout, 600))
     if final.get("status") != "done":
         print(f"job {job} ended {final.get('status')}: "
               f"{final.get('error')}", file=sys.stderr)
@@ -1120,7 +1078,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _RemoteFailed:
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

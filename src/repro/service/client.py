@@ -18,13 +18,17 @@ from __future__ import annotations
 
 import http.client
 import json
-import random
 import time
 import urllib.parse
 
 from ..obs import TRACE_HEADER, format_trace_header
+from .health import backoff_delays
 
 __all__ = ["ServiceClient", "ServiceError"]
+
+#: transport-retry pauses: ``min(1 s, 20 ms·2ⁿ)·U(0.5, 1.5)`` before
+#: the n-th retry of a failure streak
+_RETRY_BACKOFF = {"base_s": 0.02, "max_s": 1.0}
 
 
 class ServiceError(RuntimeError):
@@ -169,9 +173,6 @@ class ServiceClient:
             f"budget (timeout={self.timeout:g}s; the connect budget did "
             f"not expire)")
 
-    def _retry_pause(self, attempt: int) -> None:
-        time.sleep(min(1.0, 0.02 * 2 ** attempt) * (0.5 + random.random()))
-
     def _roundtrip(self, method: str, path: str,
                    body: dict | bytes | None,
                    trace: str | None = None) -> tuple[int, bytes]:
@@ -189,6 +190,7 @@ class ServiceClient:
         # replaces a stale keep-alive socket); idempotent GETs add the
         # transport retry allowance on top.
         attempts = 2 + (self.retries if method == "GET" else 0)
+        delays = backoff_delays(**_RETRY_BACKOFF)
         last_exc: BaseException | None = None
         for attempt in range(attempts):
             try:
@@ -204,7 +206,7 @@ class ServiceClient:
                 last_exc = exc
                 if attempt == attempts - 1:
                     raise
-                self._retry_pause(attempt)
+                time.sleep(next(delays))
                 continue
             try:
                 response = self._conn.getresponse()
@@ -217,7 +219,7 @@ class ServiceClient:
                 if method != "GET" or attempt == attempts - 1:
                     raise
                 last_exc = exc
-                self._retry_pause(attempt)
+                time.sleep(next(delays))
         raise ConnectionError(  # pragma: no cover — loop always raises
             f"could not reach {self.host}:{self.port}: {last_exc}")
 
@@ -374,6 +376,7 @@ class ServiceClient:
         # `retries` total.
         seen = 0
         failures = 0
+        delays = backoff_delays(**_RETRY_BACKOFF)
         while True:
             try:
                 conn = self._new_connection()
@@ -383,7 +386,7 @@ class ServiceClient:
                 failures += 1
                 if failures > self.retries:
                     raise
-                self._retry_pause(failures)
+                time.sleep(next(delays))
                 continue
             try:
                 try:
@@ -396,7 +399,7 @@ class ServiceClient:
                     failures += 1
                     if failures > self.retries:
                         raise
-                    self._retry_pause(failures)
+                    time.sleep(next(delays))
                     continue
                 if response.status >= 400:
                     data = response.read()
@@ -419,7 +422,9 @@ class ServiceClient:
                             continue
                         event = json.loads(line.decode())
                         seen += 1
-                        failures = 0
+                        if failures:  # progress ends the failure streak
+                            failures = 0
+                            delays = backoff_delays(**_RETRY_BACKOFF)
                         yield event
                         if (isinstance(event, dict)
                                 and event.get("event") == "end"):
@@ -431,7 +436,7 @@ class ServiceClient:
                     failures += 1
                     if failures > self.retries:
                         raise
-                    self._retry_pause(failures)
+                    time.sleep(next(delays))
                 else:
                     # EOF before the "end" event: the server died
                     # mid-stream.  A truncated chunked response reads
@@ -444,6 +449,6 @@ class ServiceClient:
                         raise ConnectionError(
                             "stream ended before the terminal event "
                             f"({seen} events seen)")
-                    self._retry_pause(failures)
+                    time.sleep(next(delays))
             finally:
                 conn.close()

@@ -70,22 +70,20 @@ import contextlib
 import http.client
 import itertools
 import json
-import os
 import queue as queue_module
 import re
 import secrets
 import signal
 import threading
 import time
-import urllib.parse
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
-from ..obs import (DEFAULT_HZ, MetricsHistory, MetricsRegistry, Profile,
+from ..obs import (MetricsHistory, MetricsRegistry, Profile,
                    SamplingProfiler, current_span_id, current_trace_id,
-                   format_trace_header, get_registry, get_tracer,
-                   new_trace_id, profile_for, refresh_trace_metrics,
-                   setup_logging, trace_context, trace_span)
+                   format_trace_header, get_registry, new_trace_id,
+                   refresh_trace_metrics, setup_logging, trace_context,
+                   trace_span)
 from .client import ServiceClient, ServiceError
 from .faults import get_faults
 from .health import FleetHealth, backoff_delays, classify_error
@@ -275,19 +273,11 @@ class DesignRouter(HttpServerBase):
 
     async def start(self) -> "DesignRouter":
         await super().start()
-        if self.history is not None:
-            self.history.start()
-        if self.profiler is not None:
-            self.profiler.start()
         self.health.start()
         return self
 
     async def stop(self) -> None:
         self.health.stop()
-        if self.history is not None:
-            self.history.stop()
-        if self.profiler is not None:
-            self.profiler.stop()
         await super().stop()
         self._forward_executor.shutdown(wait=False, cancel_futures=True)
 
@@ -436,6 +426,20 @@ class DesignRouter(HttpServerBase):
             payload = {"error": raw.decode(errors="replace")}
         return payload if isinstance(payload, dict) else {"value": payload}
 
+    async def _gather(self, targets) -> list[tuple[int, int, dict]]:
+        """GET every ``(backend index, path)`` of *targets* concurrently:
+        ``(index, status, decoded payload)`` per target, in order.  A
+        dead backend answers as a 502 payload (and feeds its breaker)
+        instead of raising, so every fold sees every target."""
+        polls = await asyncio.gather(
+            *(self._forward(index, "GET", path) for index, path in targets))
+        return [(index, status, self._decode(raw))
+                for (index, _path), (status, raw) in zip(targets, polls)]
+
+    def _fleet(self, path: str) -> list[tuple[int, str]]:
+        """:meth:`_gather` targets asking every backend for *path*."""
+        return [(index, path) for index in range(len(self.backends))]
+
     def _tag(self, index: int, job_id: str) -> str:
         return f"s{index}.{job_id}"
 
@@ -481,57 +485,20 @@ class DesignRouter(HttpServerBase):
                                                  "/generate", body)
         return status, raw
 
-    async def _route(self, method, path, query, data) -> tuple[int, dict]:
-        if path == "/healthz":
-            if method != "GET":
-                return 405, {"error": "use GET /healthz"}
-            return await self._merged_health()
-        if path == "/metrics":
-            if method != "GET":
-                return 405, {"error": "use GET /metrics"}
-            return await self._merged_metrics(query)
-        if path == "/metrics/history":
-            if method != "GET":
-                return 405, {"error": "use GET /metrics/history"}
-            return 200, self._metrics_history(query)
-        if path == "/trace":
-            if method != "GET":
-                return 405, {"error": "use GET /trace"}
-            return await self._merged_trace(query)
-        if path == "/debug/profile":
-            if method != "GET":
-                return 405, {"error": "use GET /debug/profile"}
-            return await self._merged_profile(query)
-        if path == "/backends":
-            if method != "GET":
-                return 405, {"error": "use GET /backends"}
-            status, raw = await self._forward(0, "GET", "/backends")
-            return status, self._decode(raw)
-        if path == "/generate":
-            if method != "POST":
-                return 405, {"error": "use POST /generate"}
-            # _route_raw answers every non-empty body; reaching here
-            # means there was none.
-            raise _BadRequest("body must be a JSON object")
-        if path == "/batch":
-            if method != "POST":
-                return 405, {"error": "use POST /batch"}
-            return await self._handle_batch(data)
-        if path == "/explore":
-            if method != "POST":
-                return 405, {"error": "use POST /explore"}
-            return await self._handle_explore(data)
-        if path == "/jobs":
-            if method != "GET":
-                return 405, {"error": "use GET /jobs"}
-            return await self._merged_jobs()
-        if path.startswith("/jobs/"):
-            return await self._handle_job(method, path, query)
-        return 404, {"error": f"no such endpoint: {path}"}
+    # -- endpoints (see HttpServerBase.routes) -----------------------------
+
+    async def _backends(self, query, data) -> tuple[int, dict]:
+        status, raw = await self._forward(0, "GET", "/backends")
+        return status, self._decode(raw)
+
+    async def _handle_generate(self, query, data) -> tuple[int, dict]:
+        # _route_raw answers every non-empty body; reaching here means
+        # there was none.
+        raise _BadRequest("body must be a JSON object")
 
     # -- fan-out endpoints -------------------------------------------------
 
-    async def _handle_batch(self, data) -> tuple[int, dict]:
+    async def _handle_batch(self, query, data) -> tuple[int, dict]:
         if not isinstance(data, dict) or "requests" not in data:
             raise _BadRequest('body must be {"requests": [...]}')
         specs = data["requests"]
@@ -581,7 +548,7 @@ class DesignRouter(HttpServerBase):
                      "requests": len(specs),
                      "shards": [self.backends[i] for i, *_ in outcomes]}
 
-    async def _handle_explore(self, data) -> tuple[int, dict]:
+    async def _handle_explore(self, query, data) -> tuple[int, dict]:
         # Round-robin: any backend can search; the shared work is its
         # cache tier, which is already shard-routed per evaluation.
         index = next(self._rr) % len(self.backends)
@@ -595,12 +562,8 @@ class DesignRouter(HttpServerBase):
 
     # -- job forwarding ----------------------------------------------------
 
-    async def _handle_job(self, method, path, query) -> tuple[int, dict]:
-        parts = path.strip("/").split("/")
-        if len(parts) not in (2, 3):
-            return 404, {"error": f"no such endpoint: {path}"}
-        job_id = parts[1]
-        action = parts[2] if len(parts) == 3 else None
+    async def _handle_job(self, method, job_id, action,
+                          query) -> tuple[int, dict]:
         with self._fan_lock:
             fan = self._fans.get(job_id)
         if fan is not None:
@@ -639,11 +602,10 @@ class DesignRouter(HttpServerBase):
     async def _fan_status(self, fan_id: str, fan: dict) -> tuple[int,
                                                                  dict]:
         parts = fan["parts"]
-        polls = await asyncio.gather(
-            *(self._forward(p["shard"], "GET", f"/jobs/{p['job']}")
-              for p in parts))
-        payloads = [self._decode(raw) for _status, raw in polls]
-        for part, (status, _raw), payload in zip(parts, polls, payloads):
+        polls = await self._gather([(p["shard"], f"/jobs/{p['job']}")
+                                    for p in parts])
+        payloads = [payload for _index, _status, payload in polls]
+        for part, (_index, status, payload) in zip(parts, polls):
             if status >= 400:
                 return status, {
                     "id": fan_id,
@@ -692,15 +654,13 @@ class DesignRouter(HttpServerBase):
 
     # -- merged read endpoints ---------------------------------------------
 
-    async def _merged_jobs(self) -> tuple[int, dict]:
-        polls = await asyncio.gather(
-            *(self._forward(i, "GET", "/jobs")
-              for i in range(len(self.backends))))
+    async def _jobs(self, query, data) -> tuple[int, dict]:
         jobs: list[dict] = []
-        for index, (status, raw) in enumerate(polls):
+        for index, status, payload in await self._gather(
+                self._fleet("/jobs")):
             if status >= 400:
                 continue
-            for job in self._decode(raw).get("jobs", []):
+            for job in payload.get("jobs", []):
                 if isinstance(job, dict) and isinstance(job.get("id"),
                                                         str):
                     job = dict(job, id=self._tag(index, job["id"]),
@@ -714,15 +674,12 @@ class DesignRouter(HttpServerBase):
                     for fan_id, fan in self._fans.items()]
         return 200, {"jobs": jobs + fans}
 
-    async def _merged_health(self) -> tuple[int, dict]:
-        polls = await asyncio.gather(
-            *(self._forward(i, "GET", "/healthz")
-              for i in range(len(self.backends))))
+    async def _health(self, query, data) -> tuple[int, dict]:
         ok = True
         jobs: dict[str, int] = {}
         backends = []
-        for index, (status, raw) in enumerate(polls):
-            payload = self._decode(raw)
+        for index, status, payload in await self._gather(
+                self._fleet("/healthz")):
             up = status == 200 and bool(payload.get("ok"))
             ok = ok and up
             for key, value in (payload.get("jobs") or {}).items():
@@ -751,118 +708,65 @@ class DesignRouter(HttpServerBase):
                      "trace": refresh_trace_metrics(),
                      "profiling": self.profiler is not None}
 
-    async def _merged_metrics(self, query: str) -> tuple[int,
-                                                         dict | str]:
-        polls = await asyncio.gather(
-            *(self._forward(i, "GET", "/metrics?format=json")
-              for i in range(len(self.backends))))
+    async def _metrics_registry(self) -> MetricsRegistry:
+        """Every backend's JSON snapshot folded with
+        :meth:`MetricsRegistry.merge` into one fleet registry."""
+        polls = await self._gather(self._fleet("/metrics?format=json"))
         merged = MetricsRegistry()
         # The router's own registry first: its http route counters tell
         # the fleet story (gauges merge last-writer-wins, so backend
         # job gauges below overwrite the router's empty ones).
         merged.merge(get_registry().snapshot())
-        for status, raw in polls:
+        for _index, status, payload in polls:
             if status >= 400:
                 continue
             try:
-                merged.merge(self._decode(raw))
+                merged.merge(payload)
             except (KeyError, TypeError, ValueError):
                 continue
-        if "format=json" in query:
-            return 200, merged.snapshot()
-        return 200, merged.render()
+        return merged
 
-    def _metrics_history(self, query: str) -> dict:
-        """``GET /metrics/history``: the *router's* sample window (its
-        registry holds the fleet-facing route latencies).  Per-backend
-        history stays on the backends — histories are time series, and
-        merging misaligned sampling clocks would fabricate rates."""
-        if self.history is None:
-            return {"interval_s": None, "max_samples": 0, "count": 0,
-                    "samples": []}
-        params = urllib.parse.parse_qs(query)
-        limit = None
-        raw = params.get("samples", [None])[0]
-        if raw is not None:
-            try:
-                limit = max(0, int(raw))
-            except ValueError:
-                raise _BadRequest('"samples" must be an integer') from None
-        return self.history.to_dict(limit)
-
-    async def _merged_trace(self, query: str) -> tuple[int, dict]:
+    async def _trace(self, query, data) -> tuple[int, dict]:
         """``GET /trace``: fan to every backend (query passes through,
         so ``drain``/``trace_id`` behave fleet-wide) and merge their
         Chrome-trace events with the router's own proxy spans into one
         tree — span ids stitch the hops together, and epoch-µs
         timestamps mean the hops align on one Perfetto timeline."""
-        params = urllib.parse.parse_qs(query)
-        sub = "/trace" + (f"?{query}" if query else "")
-        polls = await asyncio.gather(
-            *(self._forward(i, "GET", sub)
-              for i in range(len(self.backends))))
-        tracer = get_tracer()
-        drain = params.get("drain", ["0"])[0] in ("1", "true")
-        events = tracer.take() if drain else tracer.events()
-        wanted = params.get("trace_id", [None])[0]
-        if wanted:
-            events = [e for e in events
-                      if e.get("args", {}).get("trace_id") == wanted]
-        merged = list(events)
-        dropped = tracer.dropped
+        polls = await self._gather(
+            self._fleet("/trace" + (f"?{query}" if query else "")))
+        merged = self._trace_payload(query)
         reached = 1
-        for status, raw in polls:
+        for _index, status, payload in polls:
             if status >= 400:
                 continue
-            payload = self._decode(raw)
             tail = payload.get("traceEvents")
             if isinstance(tail, list):
-                merged.extend(e for e in tail if isinstance(e, dict))
+                merged["traceEvents"].extend(
+                    e for e in tail if isinstance(e, dict))
                 reached += 1
             try:
-                dropped += int(payload.get("dropped") or 0)
+                merged["dropped"] += int(payload.get("dropped") or 0)
             except (TypeError, ValueError):
                 pass
-        return 200, {"traceEvents": merged, "displayTimeUnit": "ms",
-                     "pid": os.getpid(), "dropped": dropped,
-                     "merged_from": reached}
+        return 200, dict(merged, merged_from=reached)
 
-    async def _merged_profile(self, query: str) -> tuple[int, dict]:
+    async def _profile(self, query, data) -> tuple[int, dict]:
         """``GET /debug/profile``: fan the capture across backends and
         fold the profiles into one fleet flamegraph.  With ``seconds=N``
         the router samples itself concurrently with the backends (the
         captures overlap, so one wall-clock wait covers the fleet);
         without, it merges always-on profiler snapshots from whichever
         processes run one."""
-        params = urllib.parse.parse_qs(query)
-        seconds = params.get("seconds", [None])[0]
-        secs = None
-        hz = DEFAULT_HZ
-        if seconds is not None:
-            try:
-                secs = min(30.0, max(0.05, float(seconds)))
-                hz = float(params.get("hz", [DEFAULT_HZ])[0])
-            except ValueError:
-                raise _BadRequest('"seconds" and "hz" must be numbers') \
-                    from None
+        seconds, hz = self._profile_window(query)
         sub = "/debug/profile" + (f"?{query}" if query else "")
-        fan = asyncio.gather(*(self._forward(i, "GET", sub)
-                               for i in range(len(self.backends))))
-        if secs is not None:
-            loop = asyncio.get_running_loop()
-            own, polls = await asyncio.gather(
-                loop.run_in_executor(None, profile_for, secs, hz), fan)
-        else:
-            own = (self.profiler.snapshot()
-                   if self.profiler is not None else None)
-            polls = await fan
+        own, polls = await asyncio.gather(self._own_profile(seconds, hz),
+                                          self._gather(self._fleet(sub)))
         merged = own if own is not None else Profile(hz=hz)
         reached = 1 if own is not None else 0
         backends = []
-        for index, (status, raw) in enumerate(polls):
+        for index, status, payload in polls:
             entry: dict = {"url": self.backends[index],
                            "ok": status < 400}
-            payload = self._decode(raw)
             if status < 400:
                 try:
                     part = Profile.from_dict(payload)
@@ -880,7 +784,7 @@ class DesignRouter(HttpServerBase):
             return 404, {"error": "no profile available: pass "
                          "?seconds=N for a one-shot capture, or run "
                          "the fleet with --profile", "backends": backends}
-        return 200, dict(merged.to_dict(), continuous=secs is None,
+        return 200, dict(merged.to_dict(), continuous=seconds is None,
                          merged_from=reached, backends=backends)
 
 

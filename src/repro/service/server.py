@@ -215,7 +215,7 @@ def _search_result_to_json(result) -> dict:
 
 
 class StreamPayload:
-    """Marker payload: a ``_route`` that returns one of these switches
+    """Marker payload: a route handler that returns one of these switches
     the response to chunked ``application/x-ndjson`` streaming — one
     JSON document per line, one chunk per event, connection closed when
     the stream ends.  Subclasses implement :meth:`events`."""
@@ -268,11 +268,12 @@ class HttpServerBase:
     Owns the socket lifecycle and the protocol plumbing — connection
     handling with keep-alive, request parsing, dispatch with per-route
     telemetry and slow-request logging, JSON/text responses plus
-    chunked NDJSON streams (:class:`StreamPayload`).  The design server
-    and the fleet router are both thin routing layers over this:
-    subclasses implement :meth:`_route` and may override
-    :meth:`_route_raw` to answer before the JSON body is even parsed
-    (the router's warm proxy path).
+    chunked NDJSON streams (:class:`StreamPayload`) — and the one
+    declared route table both tiers answer (:attr:`routes`).  The
+    design server and the fleet router are thin layers over this:
+    subclasses implement the handlers the table names plus
+    :meth:`_handle_job`, and may override :meth:`_route_raw` to answer
+    before the JSON body is even parsed (the router's warm proxy path).
     """
 
     log_name = "serve"
@@ -290,6 +291,10 @@ class HttpServerBase:
         #: route and trace id (0 disables the check)
         self.slow_request_ms = slow_request_ms
         self._log = get_logger(self.log_name)
+        #: always-on sampling profiler and metrics-history recorder of
+        #: this process (subclasses build them; ``None`` = off)
+        self.profiler: SamplingProfiler | None = None
+        self.history: MetricsHistory | None = None
         self._server: asyncio.AbstractServer | None = None
         self._closing = threading.Event()
         self._tasks: set = set()
@@ -303,10 +308,18 @@ class HttpServerBase:
             self._handle_connection, self.host, self.port,
             limit=_MAX_BODY, **kwargs)
         self.port = self._server.sockets[0].getsockname()[1]
+        if self.history is not None:
+            self.history.start()
+        if self.profiler is not None:
+            self.profiler.start()
         return self
 
     async def stop(self) -> None:
         self._closing.set()
+        if self.history is not None:
+            self.history.stop()
+        if self.profiler is not None:
+            self.profiler.stop()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -329,9 +342,44 @@ class HttpServerBase:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    # -- routing hooks (subclass responsibility) ---------------------------
+    # -- routing -----------------------------------------------------------
+
+    #: every endpoint of the protocol, ``{path: (method, handler)}``:
+    #: *handler* names an ``async (query, data) -> (status, payload)``
+    #: method, the base's for ``/metrics`` and ``/metrics/history`` and
+    #: each tier's own otherwise.  ``/jobs/<id>[/<action>]`` is the one
+    #: prefix route (:meth:`_handle_job`); ``/debug/faults`` is answered
+    #: before routing (:meth:`_faults_endpoint`).
+    routes: dict[str, tuple[str, str]] = {
+        "/healthz": ("GET", "_health"),
+        "/metrics": ("GET", "_metrics"),
+        "/metrics/history": ("GET", "_metrics_history"),
+        "/trace": ("GET", "_trace"),
+        "/debug/profile": ("GET", "_profile"),
+        "/backends": ("GET", "_backends"),
+        "/generate": ("POST", "_handle_generate"),
+        "/batch": ("POST", "_handle_batch"),
+        "/explore": ("POST", "_handle_explore"),
+        "/jobs": ("GET", "_jobs"),
+    }
 
     async def _route(self, method, path, query, data) -> tuple[int, dict]:
+        entry = self.routes.get(path)
+        if entry is None:
+            parts = path.strip("/").split("/")
+            if path.startswith("/jobs/") and len(parts) in (2, 3):
+                action = parts[2] if len(parts) == 3 else None
+                return await self._handle_job(method, parts[1], action,
+                                              query)
+            return 404, {"error": f"no such endpoint: {path}"}
+        allowed, handler = entry
+        if method != allowed:
+            return 405, {"error": f"use {allowed} {path}"}
+        return await getattr(self, handler)(query, data)
+
+    async def _handle_job(self, method, job_id, action,
+                          query) -> tuple[int, dict]:
+        """``/jobs/<id>[/<action>]``, the one prefix route."""
         raise NotImplementedError
 
     async def _route_raw(self, method, path, query, body):
@@ -572,6 +620,79 @@ class HttpServerBase:
         return 200, {"armed": fault.to_dict(),
                      "faults": registry.active()}
 
+    # -- process-local read endpoints (the router folds its fleet in) ------
+
+    async def _metrics(self, query, data) -> tuple[int, dict | str]:
+        """``GET /metrics``: :meth:`_metrics_registry` as Prometheus
+        text, or with ``?format=json`` as the mergeable JSON snapshot
+        the fleet router folds across backends."""
+        registry = await self._metrics_registry()
+        if "format=json" in query:
+            return 200, registry.snapshot()
+        return 200, registry.render()
+
+    async def _metrics_registry(self):
+        raise NotImplementedError
+
+    async def _metrics_history(self, query, data) -> tuple[int, dict]:
+        """``GET /metrics/history``: this process's recorder window (an
+        empty shell when disabled); ``?samples=N`` trims it.  A router
+        serves its own series only — histories are time series, and
+        merging misaligned sampling clocks would fabricate rates."""
+        if self.history is None:
+            return 200, {"interval_s": None, "max_samples": 0, "count": 0,
+                         "samples": []}
+        params = urllib.parse.parse_qs(query)
+        limit = None
+        raw = params.get("samples", [None])[0]
+        if raw is not None:
+            try:
+                limit = max(0, int(raw))
+            except ValueError:
+                raise _BadRequest('"samples" must be an integer') from None
+        return 200, self.history.to_dict(limit)
+
+    def _trace_payload(self, query: str) -> dict:
+        """This process's span buffer as Chrome-trace JSON.
+        ``?drain=1`` drains it (the scrape-and-reset pattern);
+        ``?trace_id=<id>`` filters to one request's tree."""
+        params = urllib.parse.parse_qs(query)
+        tracer = get_tracer()
+        drain = params.get("drain", ["0"])[0] in ("1", "true")
+        events = tracer.take() if drain else tracer.events()
+        wanted = params.get("trace_id", [None])[0]
+        if wanted:
+            events = [e for e in events
+                      if e.get("args", {}).get("trace_id") == wanted]
+        return {"traceEvents": events, "displayTimeUnit": "ms",
+                "pid": os.getpid(), "dropped": tracer.dropped}
+
+    @staticmethod
+    def _profile_window(query: str) -> tuple[float | None, float]:
+        """``(seconds, hz)`` of a ``GET /debug/profile``: ``seconds`` is
+        ``None`` without ``seconds=`` (read the always-on profiler),
+        else the capture length clamped to 0.05–30 s."""
+        params = urllib.parse.parse_qs(query)
+        seconds = params.get("seconds", [None])[0]
+        if seconds is None:
+            return None, DEFAULT_HZ
+        try:
+            return (min(30.0, max(0.05, float(seconds))),
+                    float(params.get("hz", [DEFAULT_HZ])[0]))
+        except ValueError:
+            raise _BadRequest('"seconds" and "hz" must be numbers') \
+                from None
+
+    async def _own_profile(self, seconds: float | None, hz: float):
+        """This process's CPU profile: a bounded blocking capture on an
+        executor thread, or without *seconds* a snapshot of the
+        always-on profiler (``None`` when none runs)."""
+        if seconds is None:
+            return (self.profiler.snapshot()
+                    if self.profiler is not None else None)
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(None, profile_for, seconds, hz)
+
 
 class DesignServer(HttpServerBase):
     """The serving front end around one shared :class:`BatchEngine`.
@@ -633,20 +754,8 @@ class DesignServer(HttpServerBase):
                          else max(1, min(max_jobs, 32))),
             thread_name_prefix="repro-job")
 
-    async def start(self) -> "DesignServer":
-        await super().start()
-        if self.history is not None:
-            self.history.start()
-        if self.profiler is not None:
-            self.profiler.start()
-        return self
-
     async def stop(self) -> None:
         self._closing.set()
-        if self.history is not None:
-            self.history.stop()
-        if self.profiler is not None:
-            self.profiler.stop()
         # Queued-but-unstarted job bodies are dropped; running ones see
         # _closing at their next checkpoint and park themselves.
         self._job_executor.shutdown(wait=False, cancel_futures=True)
@@ -667,152 +776,61 @@ class DesignServer(HttpServerBase):
                               "their last checkpoint", _SHUTDOWN_GRACE_S)
         await super().stop()
 
-    # -- routing -----------------------------------------------------------
+    # -- endpoint handlers (see HttpServerBase.routes) ---------------------
 
-    async def _route(self, method, path, query, data) -> tuple[int, dict]:
-        if path == "/healthz":
-            if method != "GET":
-                return 405, {"error": "use GET /healthz"}
-            return 200, self._health()
-        if path == "/metrics":
-            if method != "GET":
-                return 405, {"error": "use GET /metrics"}
-            if "format=json" in query:
-                return 200, self._metrics_snapshot()
-            return 200, self._metrics()
-        if path == "/metrics/history":
-            if method != "GET":
-                return 405, {"error": "use GET /metrics/history"}
-            return 200, self._metrics_history(query)
-        if path == "/trace":
-            if method != "GET":
-                return 405, {"error": "use GET /trace"}
-            return 200, self._trace_payload(query)
-        if path == "/debug/profile":
-            if method != "GET":
-                return 405, {"error": "use GET /debug/profile"}
-            return await self._handle_profile(query)
-        if path == "/backends":
-            if method != "GET":
-                return 405, {"error": "use GET /backends"}
-            from ..backends import backends_info
-
-            return 200, {"backends": backends_info()}
-        if path == "/generate":
-            if method != "POST":
-                return 405, {"error": "use POST /generate"}
-            return await self._handle_generate(data)
-        if path == "/batch":
-            if method != "POST":
-                return 405, {"error": "use POST /batch"}
-            return self._handle_batch(data)
-        if path == "/explore":
-            if method != "POST":
-                return 405, {"error": "use POST /explore"}
-            return self._handle_explore(data)
-        if path == "/jobs":
-            if method != "GET":
-                return 405, {"error": "use GET /jobs"}
-            return 200, {"jobs": self.jobs.list()}
-        if path.startswith("/jobs/"):
-            return self._handle_job(method, path, query)
-        return 404, {"error": f"no such endpoint: {path}"}
-
-    def _health(self) -> dict:
+    async def _health(self, query, data) -> tuple[int, dict]:
         from ..backends import backend_names
 
         cache = self.engine.cache
-        return {"ok": True,
-                "jobs": self.jobs.counts(),
-                "workers": self.engine.workers,
-                "backends": list(backend_names()),
-                "persist": self.journal is not None,
-                "recovered": self.recovered,
-                "trace": refresh_trace_metrics(),
-                "profiling": self.profiler is not None,
-                "cache": (dict(cache.stats.as_dict(),
-                               root=str(cache.root),
-                               shards=len(cache.roots),
-                               tiers=cache.stats.tiers())
-                          if cache is not None else None)}
+        return 200, {"ok": True,
+                     "jobs": self.jobs.counts(),
+                     "workers": self.engine.workers,
+                     "backends": list(backend_names()),
+                     "persist": self.journal is not None,
+                     "recovered": self.recovered,
+                     "trace": refresh_trace_metrics(),
+                     "profiling": self.profiler is not None,
+                     "cache": (dict(cache.stats.as_dict(),
+                                    root=str(cache.root),
+                                    shards=len(cache.roots),
+                                    tiers=cache.stats.tiers())
+                               if cache is not None else None)}
 
     def _refresh_job_gauges(self) -> None:
         for status, count in self.jobs.counts().items():
             _JOBS_GAUGE.labels(status=status).set(count)
         refresh_trace_metrics()
 
-    def _metrics(self) -> str:
-        """The Prometheus text exposition of the process-wide registry
-        (gauges that describe current state are refreshed first)."""
+    async def _metrics_registry(self):
+        """The process-wide registry, with the gauges that describe
+        current state refreshed first."""
         self._refresh_job_gauges()
-        return get_registry().render()
+        return get_registry()
 
-    def _metrics_snapshot(self) -> dict:
-        """The registry as a mergeable JSON snapshot
-        (``GET /metrics?format=json``) — what the fleet router folds
-        across backends with :meth:`MetricsRegistry.merge` to serve
-        one combined exposition."""
-        self._refresh_job_gauges()
-        return get_registry().snapshot()
+    async def _trace(self, query, data) -> tuple[int, dict]:
+        return 200, self._trace_payload(query)
 
-    def _metrics_history(self, query: str) -> dict:
-        """``GET /metrics/history``: the recorder's sample window (or
-        an empty shell when disabled); ``?samples=N`` trims it."""
-        if self.history is None:
-            return {"interval_s": None, "max_samples": 0, "count": 0,
-                    "samples": []}
-        params = urllib.parse.parse_qs(query)
-        limit = None
-        raw = params.get("samples", [None])[0]
-        if raw is not None:
-            try:
-                limit = max(0, int(raw))
-            except ValueError:
-                raise _BadRequest('"samples" must be an integer') from None
-        return self.history.to_dict(limit)
-
-    def _trace_payload(self, query: str) -> dict:
-        """``GET /trace``: the span buffer as Chrome-trace JSON.
-        ``?drain=1`` drains it (the scrape-and-reset pattern);
-        ``?trace_id=<id>`` filters to one request's tree."""
-        params = urllib.parse.parse_qs(query)
-        tracer = get_tracer()
-        drain = params.get("drain", ["0"])[0] in ("1", "true")
-        events = tracer.take() if drain else tracer.events()
-        wanted = params.get("trace_id", [None])[0]
-        if wanted:
-            events = [e for e in events
-                      if e.get("args", {}).get("trace_id") == wanted]
-        return {"traceEvents": events, "displayTimeUnit": "ms",
-                "pid": os.getpid(), "dropped": tracer.dropped}
-
-    async def _handle_profile(self, query: str) -> tuple[int, dict]:
+    async def _profile(self, query, data) -> tuple[int, dict]:
         """``GET /debug/profile``: without ``seconds=``, snapshot the
         always-on profiler (404s when the server runs unprofiled);
-        with ``seconds=N[&hz=H]``, run a bounded blocking capture on an
-        executor thread and return it."""
-        params = urllib.parse.parse_qs(query)
-        seconds = params.get("seconds", [None])[0]
-        if seconds is None:
-            if self.profiler is None:
-                return 404, {"error": "no continuous profiler running "
-                             "(start with repro serve --profile) and no "
-                             "seconds= given for a one-shot capture"}
-            return 200, dict(self.profiler.snapshot().to_dict(),
-                             continuous=True)
-        try:
-            secs = min(30.0, max(0.05, float(seconds)))
-            hz = float(params.get("hz", [DEFAULT_HZ])[0])
-        except ValueError:
-            raise _BadRequest('"seconds" and "hz" must be numbers') \
-                from None
-        loop = asyncio.get_running_loop()
-        profile = await loop.run_in_executor(None, profile_for, secs, hz)
-        return 200, dict(profile.to_dict(), continuous=False)
+        with ``seconds=N[&hz=H]``, a bounded one-shot capture."""
+        seconds, hz = self._profile_window(query)
+        profile = await self._own_profile(seconds, hz)
+        if profile is None:
+            return 404, {"error": "no continuous profiler running "
+                         "(start with repro serve --profile) and no "
+                         "seconds= given for a one-shot capture"}
+        return 200, dict(profile.to_dict(), continuous=seconds is None)
 
-    # -- endpoint handlers -------------------------------------------------
+    async def _backends(self, query, data) -> tuple[int, dict]:
+        from ..backends import backends_info
 
-    async def _handle_generate(self, data) -> tuple[int, dict]:
+        return 200, {"backends": backends_info()}
+
+    async def _jobs(self, query, data) -> tuple[int, dict]:
+        return 200, {"jobs": self.jobs.list()}
+
+    async def _handle_generate(self, query, data) -> tuple[int, dict]:
         if not isinstance(data, dict):
             raise _BadRequest("body must be a JSON object")
         include_rtl = bool(data.get("include_rtl", False))
@@ -853,7 +871,7 @@ class DesignServer(HttpServerBase):
         with trace_context(trace_id, parent_id):
             return self.engine.submit(request)
 
-    def _handle_batch(self, data) -> tuple[int, dict]:
+    async def _handle_batch(self, query, data) -> tuple[int, dict]:
         if not isinstance(data, dict) or "requests" not in data:
             raise _BadRequest('body must be {"requests": [...]}')
         specs = data["requests"]
@@ -872,7 +890,7 @@ class DesignServer(HttpServerBase):
         return 202, {"job": job.id, "status": job.status,
                      "requests": len(requests), "trace_id": job.trace_id}
 
-    def _handle_explore(self, data) -> tuple[int, dict]:
+    async def _handle_explore(self, query, data) -> tuple[int, dict]:
         from ..models import zoo
 
         if not isinstance(data, dict):
@@ -938,14 +956,11 @@ class DesignServer(HttpServerBase):
                      "resumed": checkpoint is not None,
                      "trace_id": job.trace_id}
 
-    def _handle_job(self, method, path, query) -> tuple[int, dict]:
-        parts = path.strip("/").split("/")
-        if len(parts) not in (2, 3):
-            return 404, {"error": f"no such endpoint: {path}"}
-        job = self.jobs.get(parts[1])
+    async def _handle_job(self, method, job_id, action,
+                          query) -> tuple[int, dict]:
+        job = self.jobs.get(job_id)
         if job is None:
-            return 404, {"error": f"no such job: {parts[1]}"}
-        action = parts[2] if len(parts) == 3 else None
+            return 404, {"error": f"no such job: {job_id}"}
         if action is None:
             if method != "GET":
                 return 405, {"error": "use GET /jobs/<id>"}

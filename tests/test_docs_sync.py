@@ -1,5 +1,6 @@
 """Docs cannot drift: the CLI reference must cover the live argparse
-tree, and the markdown files must not contain dangling local links."""
+tree, the HTTP reference must list exactly the served routes, and the
+markdown files must not contain dangling local links."""
 
 import argparse
 import pathlib
@@ -63,6 +64,30 @@ class TestCliDocSync:
                                     CLI_DOC.read_text()))
         assert documented <= real, \
             f"docs/cli.md documents unknown flags: {documented - real}"
+
+
+SERVING_DOC = ROOT / "docs" / "serving.md"
+#: routes outside the declared table: the ``/jobs/<id>`` prefix route's
+#: sub-routes and the chaos control answered before routing
+UNTABLED_ROUTES = [("GET", "/jobs/<id>"), ("GET", "/jobs/<id>/stream"),
+                   ("POST", "/jobs/<id>/pause"),
+                   ("POST", "/jobs/<id>/resume"),
+                   ("GET/POST", "/debug/faults")]
+
+
+class TestHttpDocSync:
+    def test_endpoint_table_lists_exactly_the_served_routes(self):
+        """docs/serving.md's endpoint table names every route the
+        server declares, with its method, and nothing else."""
+        from repro.service.server import DesignServer
+
+        section = SERVING_DOC.read_text().split("## Endpoints", 1)[1]
+        section = section.split("\n#", 1)[0]
+        documented = re.findall(r"^\| ([A-Z/]+) \| `([^`]+)` \|", section,
+                                flags=re.MULTILINE)
+        served = [(method, path) for path, (method, _handler)
+                  in DesignServer.routes.items()] + UNTABLED_ROUTES
+        assert sorted(documented) == sorted(served)
 
 
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")

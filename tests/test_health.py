@@ -39,6 +39,27 @@ class TestBackoffDelays:
             value = next(delays)
             assert expected * 0.5 <= value <= expected * 1.5
 
+    def test_client_retries_pause_on_the_same_policy(self, monkeypatch):
+        """ServiceClient's transport retries draw their pauses from
+        backoff_delays: min(1 s, 20 ms·2ⁿ), jittered 0.5–1.5x."""
+        import socket
+
+        from repro.service import client as client_module
+
+        pauses = []
+        monkeypatch.setattr(client_module.time, "sleep", pauses.append)
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        client = client_module.ServiceClient(port=port, retries=8)
+        with pytest.raises(ConnectionRefusedError):
+            client.request("GET", "/healthz")
+        # GETs get 2 + retries attempts, so one pause fewer
+        assert len(pauses) == 9
+        for n, pause in enumerate(pauses):
+            expected = min(1.0, 0.02 * 2 ** n)
+            assert expected * 0.5 <= pause <= expected * 1.5
+
 
 class TestCircuitBreaker:
     def test_trips_after_threshold_consecutive_failures(self):
